@@ -84,6 +84,27 @@ class SeedSelection:
     expected_spread: float
 
 
+def _calibration_shift(scores: np.ndarray, mean_probability: float) -> float:
+    """The ``shift`` with ``mean(sigmoid(scores - shift)) == mean_probability``.
+
+    Bisection over float64.  The interval stops changing once ``low``
+    and ``high`` are adjacent floats (about 57 passes for typical score
+    ranges), so the loop ends there; the 100-pass cap still bounds the
+    rare crossing near zero, where adjacent floats are far denser.
+    """
+    low, high = scores.min() - 30.0, scores.max() + 30.0
+    for _ in range(100):
+        mid = (low + high) / 2.0
+        if float(np.mean(_stable_sigmoid(scores - mid))) > mean_probability:
+            bounds = (mid, high)
+        else:
+            bounds = (low, mid)
+        if bounds == (low, high):
+            break
+        low, high = bounds
+    return (low + high) / 2.0
+
+
 def embedding_edge_probabilities(
     embedding: InfluenceEmbedding,
     graph: SocialGraph,
@@ -125,17 +146,7 @@ def embedding_edge_probabilities(
         offset += users.shape[0]
     scores = raw - median_by_source[np.searchsorted(sources, edge_array[:, 0])]
 
-    def mean_sigmoid(shift: float) -> float:
-        return float(np.mean(_stable_sigmoid(scores - shift)))
-
-    low, high = scores.min() - 30.0, scores.max() + 30.0
-    for _ in range(100):
-        mid = (low + high) / 2.0
-        if mean_sigmoid(mid) > mean_probability:
-            low = mid
-        else:
-            high = mid
-    shift = (low + high) / 2.0
+    shift = _calibration_shift(scores, mean_probability)
     values = _stable_sigmoid(scores - shift)
     return EdgeProbabilities(graph, np.clip(values, 0.0, 1.0))
 

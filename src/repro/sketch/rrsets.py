@@ -22,6 +22,7 @@ node→sketch index that max-coverage selection consumes.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import SketchError
@@ -141,18 +142,19 @@ class RRSketchPool:
         return np.bincount(self.nodes, minlength=self.num_nodes)
 
     def _inverted(self) -> tuple[np.ndarray, np.ndarray]:
-        """The node→sketches CSR, built lazily and cached."""
+        """The node→sketches CSR, built lazily and cached.
+
+        Each node's sketch ids come out ascending.  The sketch×node CSR
+        transpose is a counting sort, O(P + num_nodes) for P members,
+        where an argsort of ``nodes`` would cost O(P log P).
+        """
         if self._node_indptr is None:
-            sketch_ids = np.repeat(
-                np.arange(self.num_sketches, dtype=np.int64), self.sizes()
-            )
-            order = np.argsort(self.nodes, kind="stable")
-            self._node_sketches = sketch_ids[order]
-            counts = np.bincount(self.nodes, minlength=self.num_nodes)
-            node_indptr = np.empty(self.num_nodes + 1, dtype=np.int64)
-            node_indptr[0] = 0
-            np.cumsum(counts, out=node_indptr[1:])
-            self._node_indptr = node_indptr
+            membership = sparse.csr_array(
+                (np.ones(self.nodes.shape[0], dtype=bool), self.nodes, self.indptr),
+                shape=(self.num_sketches, self.num_nodes),
+            ).tocsc()
+            self._node_indptr = membership.indptr.astype(np.int64, copy=False)
+            self._node_sketches = membership.indices.astype(np.int64, copy=False)
         return self._node_indptr, self._node_sketches
 
     def sketches_containing(self, node: int) -> np.ndarray:
@@ -288,19 +290,21 @@ class RRGenerator:
         """Lockstep reverse IC cascades for one batch of roots.
 
         All sketches advance one round per iteration: the in-edges of
-        every frontier node across the batch are gathered with one
-        fancy-indexing pass, one RNG draw covers every coin, and
-        newly reached ``(sketch, node)`` pairs are deduplicated through
-        the packed-id trick before becoming the next frontier.
+        every frontier entry across the batch are gathered in frontier
+        order and one RNG draw covers every coin.  Only the live edges
+        are mapped back to their sketch (a ``searchsorted`` over the
+        frontier's edge offsets), and the newly reached ``(sketch,
+        node)`` pairs, packed as ``sketch * n + node``, are deduplicated
+        by sorting before becoming the next frontier.
         """
         batch = roots.shape[0]
         n = self.num_nodes
         if self._visited is None or self._visited.shape[0] < batch:
             self._visited = np.zeros((batch, n), dtype=bool)
-        visited = self._visited[:batch]
+        visited = self._visited[:batch].reshape(-1)
         visited[:] = False
         rows = np.arange(batch, dtype=np.int64)
-        visited[rows, roots] = True
+        visited[rows * n + roots] = True
 
         member_sketches = [rows]
         member_nodes = [roots]
@@ -308,30 +312,32 @@ class RRGenerator:
         while frontier_nodes.size:
             starts = self._in_indptr[frontier_nodes]
             degrees = self._in_indptr[frontier_nodes + 1] - starts
-            total = int(degrees.sum())
+            ends = np.cumsum(degrees)
+            total = int(ends[-1])
             if total == 0:
                 break
-            # Flat indices of every frontier in-edge across the batch.
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(degrees) - degrees, degrees
-            )
-            flat = np.repeat(starts, degrees) + within
-            edge_sketches = np.repeat(frontier_sketches, degrees)
-            live = self.rng.random(total) < self._in_values[flat]
-            if not live.any():
+            # Flat index of every frontier in-edge, in frontier order.
+            flat = np.repeat(starts - (ends - degrees), degrees)
+            flat += np.arange(total, dtype=np.int64)
+            live = np.flatnonzero(self.rng.random(total) < self._in_values[flat])
+            if live.size == 0:
                 break
-            hit_sketches = edge_sketches[live]
-            hit_sources = self._in_indices[flat[live]]
-            fresh = ~visited[hit_sketches, hit_sources]
-            if not fresh.any():
+            keys = frontier_sketches[np.searchsorted(ends, live, side="right")]
+            keys *= n
+            keys += self._in_indices[flat[live]]
+            keys = keys[~visited[keys]]
+            if keys.size == 0:
                 break
-            packed = np.unique(hit_sketches[fresh] * n + hit_sources[fresh])
-            new_sketches = packed // n
-            new_nodes = packed % n
-            visited[new_sketches, new_nodes] = True
-            member_sketches.append(new_sketches)
-            member_nodes.append(new_nodes)
-            frontier_sketches, frontier_nodes = new_sketches, new_nodes
+            keys.sort()
+            distinct = np.empty(keys.shape[0], dtype=bool)
+            distinct[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+            keys = keys[distinct]
+            visited[keys] = True
+            frontier_sketches = keys // n
+            frontier_nodes = keys - frontier_sketches * n
+            member_sketches.append(frontier_sketches)
+            member_nodes.append(frontier_nodes)
 
         all_sketches = np.concatenate(member_sketches)
         all_nodes = np.concatenate(member_nodes)

@@ -375,6 +375,30 @@ class TestEmbeddingEdgeProbabilities:
             _stable_sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "scores,target",
+        [
+            (np.random.default_rng(1).normal(size=500), 0.03),
+            (np.random.default_rng(2).normal(scale=40.0, size=300), 0.2),
+            (1e8 + np.random.default_rng(3).normal(size=200), 0.05),
+            (np.zeros(50), 0.3),
+            # Crossing at shift ~0: adjacent floats are dense there, so
+            # the bisection runs into the 100-pass cap.
+            (np.array([-1.0, 1.0]), 0.5),
+        ],
+    )
+    def test_calibration_shift_matches_full_bisection(self, scores, target):
+        from repro.apps.influence_max import _calibration_shift, _stable_sigmoid
+
+        low, high = scores.min() - 30.0, scores.max() + 30.0
+        for _ in range(100):
+            mid = (low + high) / 2.0
+            if np.mean(_stable_sigmoid(scores - mid)) > target:
+                low = mid
+            else:
+                high = mid
+        assert _calibration_shift(scores, target) == (low + high) / 2.0
+
     def test_blocked_calibration_invariant_to_block_size(self, graph, embedding):
         """Streamed per-source medians are bitwise block-size-invariant."""
         probs = embedding_edge_probabilities(embedding, graph, 0.1, block_size=2)
