@@ -9,10 +9,9 @@ silently detaches that worker onto a private copy — training still
 runs, losses still fall, and the merged model is garbage.  Equally,
 taking a lock in the worker hot path would reintroduce the serial
 bottleneck hogwild exists to remove.  No per-file walk can see this:
-the worker entry point lives in ``core/inf2vec.py`` (behind a lazy
-cycle-guard import) while the buffers and coordinator live in
-``parallel/`` — so this is a :class:`ProjectRule` over the import
-graph.
+the buffers live in ``parallel/shared.py`` while the worker entry point
+and coordinator that write through them live in ``parallel/hogwild.py``
+— so this is a :class:`ProjectRule` over the import graph.
 
 Scope: every checked module that imports the ``SharedEmbedding``
 class, *except* the module defining it (the definition site must

@@ -25,17 +25,15 @@ tuples, each with all of ``C_u^i`` and its negatives, in one fused
 vectorised step), which is mathematically a micro-batched SGD — the
 standard trick for word2vec-family models in numpy; the variance
 difference is negligible at the paper's context length of 50 and the
-default batch size.  ``engine="sequential"`` selects the original
-one-context-at-a-time loop, kept as the reference implementation for
-benchmarks and equivalence tests.
+default batch size.
 """
 
 from __future__ import annotations
 
 import copy
-import os
+import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
@@ -52,13 +50,10 @@ from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.run import NULL_RUN, RunRecorder, active_run, config_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only (avoids an import cycle)
-    from multiprocessing.connection import Connection
-
     from repro.ckpt.manager import CheckpointManager
     from repro.ckpt.state import TrainingState
-    from repro.parallel.shared import SharedEmbeddingSpec
 from repro.utils.logging import get_logger, log_epoch_progress
-from repro.utils.rng import SeedLike, ensure_rng, generator_from_state
+from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive, check_positive_int
 
 logger = get_logger("core.inf2vec")
@@ -128,8 +123,6 @@ def annealed_learning_rate(
 
 NegativeDistribution = Literal["unigram", "uniform"]
 
-TrainingEngine = Literal["batched", "sequential"]
-
 
 @dataclass(frozen=True)
 class Inf2vecConfig:
@@ -176,24 +169,18 @@ class Inf2vecConfig:
         Row-norm cap applied to the embedding rows touched by each
         update — a safety valve against SGD divergence; ``None``
         disables it.
-    engine:
-        ``"batched"`` (default) runs the fused epoch loop: contexts
-        are grouped into micro-batches of ``batch_size`` tuples, all
-        negatives of a batch come from one
+    batch_size:
+        Micro-batch size: contexts per fused update.  All negatives of
+        a batch come from one
         :meth:`~repro.core.negative.NegativeSampler.sample_matrix`
         call, and the Eq. 6 updates are applied with ``np.add.at``-style
-        scatter-accumulation.  ``"sequential"`` is the original
-        one-context-at-a-time SGD, kept as the reference
-        implementation for speedup benchmarks and equivalence tests.
-    batch_size:
-        Micro-batch size (contexts per fused update) of the batched
-        engine.  ``1`` reproduces the sequential engine's RNG stream
-        and parameter trajectory exactly; larger batches trade SGD
+        scatter-accumulation.  ``1`` updates one context at a time, the
+        reference implementation's trajectory; larger batches trade SGD
         staleness (gradients of a batch are evaluated at its entry
         parameters) for vectorisation, the standard word2vec-in-numpy
         compromise.  The effective batch is additionally capped at
         ``num_users / 8`` contexts so tiny universes keep
-        sequential-quality dynamics.
+        one-context-at-a-time dynamics.
     telemetry:
         Opt into :mod:`repro.obs` run recording: ``fit()`` creates a
         :class:`~repro.obs.run.RunRecorder` (exposed as
@@ -215,7 +202,6 @@ class Inf2vecConfig:
     convergence_tol: float = 0.0
     lr_decay: bool = True
     max_norm: float | None = 10.0
-    engine: TrainingEngine = "batched"
     batch_size: int = 64
     telemetry: bool = False
 
@@ -225,10 +211,6 @@ class Inf2vecConfig:
         check_positive_int("num_negatives", self.num_negatives)
         check_positive_int("epochs", self.epochs)
         check_positive_int("batch_size", self.batch_size)
-        if self.engine not in ("batched", "sequential"):
-            raise TrainingError(
-                f"engine must be 'batched' or 'sequential', got {self.engine!r}"
-            )
         if self.negative_distribution not in ("unigram", "uniform"):
             raise TrainingError(
                 "negative_distribution must be 'unigram' or 'uniform', "
@@ -263,10 +245,6 @@ class Inf2vecModel:
         self._seed_text = None if seed is None else str(seed)
         self._run_recorder: RunRecorder | None = None
         self._metrics = NULL_REGISTRY
-
-    @property
-    def _batched(self) -> bool:
-        return self.config.engine == "batched"
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -339,7 +317,7 @@ class Inf2vecModel:
         """
         state = self._resume_state(checkpoint, resume)
         run = self._resolve_obs(fresh=True)
-        with run.span("fit", engine=self.config.engine):
+        with run.span("fit"):
             self._record_run_header(
                 run,
                 num_users=graph.num_nodes,
@@ -355,11 +333,7 @@ class Inf2vecModel:
                 )
             entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
             generator = ContextGenerator(
-                graph,
-                self.config.context,
-                self._rng,
-                batched=self._batched,
-                metrics=run.metrics,
+                graph, self.config.context, self._rng, metrics=run.metrics
             )
             with run.span("contexts") as span:
                 corpus = generator.generate(log)
@@ -413,7 +387,7 @@ class Inf2vecModel:
         """
         state = self._resume_state(checkpoint, resume)
         run = self._resolve_obs(fresh=True)
-        with run.span("fit", engine=self.config.engine):
+        with run.span("fit"):
             self._record_run_header(
                 run, num_users=num_users, num_contexts=len(corpus)
             )
@@ -663,14 +637,10 @@ class Inf2vecModel:
         if budget == 0:
             return self
         run = self._resolve_obs()
-        with run.span("partial_fit", engine=self.config.engine):
+        with run.span("partial_fit"):
             entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
             generator = ContextGenerator(
-                graph,
-                self.config.context,
-                self._rng,
-                batched=self._batched,
-                metrics=run.metrics,
+                graph, self.config.context, self._rng, metrics=run.metrics
             )
             with run.span("contexts"):
                 corpus = generator.generate(new_log)
@@ -713,11 +683,9 @@ class Inf2vecModel:
         observations — lower is better, and a decreasing sequence
         across epochs is the convergence signal.
 
-        Dispatches to the fused micro-batched loop or to the
-        sequential reference loop according to ``config.engine`` (see
-        :class:`Inf2vecConfig`); both shuffle the corpus with the same
-        permutation draw, and at ``batch_size=1`` the two trajectories
-        coincide.
+        The corpus is shuffled with one permutation draw and trained
+        in micro-batches of ``batch_size`` contexts (see
+        :class:`Inf2vecConfig`).
 
         Parameters
         ----------
@@ -727,8 +695,8 @@ class Inf2vecModel:
             Step size for this epoch; defaults to the configured
             (undecayed) rate when called directly.
         batch_size:
-            Micro-batch override for this epoch (batched engine only);
-            defaults to ``config.batch_size``.
+            Micro-batch override for this epoch; defaults to
+            ``config.batch_size``.
         """
         if self._embedding is None:
             raise NotFittedError(
@@ -744,8 +712,6 @@ class Inf2vecModel:
         # One ambient-recorder lookup per epoch; the per-batch hooks
         # below are no-ops against the null registry.
         self._metrics = self._resolve_obs().metrics
-        if not self._batched:
-            return self.train_epoch_sequential(corpus, sampler, learning_rate)
         if batch_size is None:
             batch_size = self.config.batch_size
         batch_size = check_positive_int("batch_size", batch_size)
@@ -754,7 +720,7 @@ class Inf2vecModel:
         # with gradients evaluated at the batch's entry parameters,
         # which multiplies the effective per-row step size and
         # destabilises SGD.  num_users/8 keeps per-row accumulation in
-        # the regime where micro-batched and sequential SGD match.
+        # the regime where micro-batched and per-context SGD match.
         batch_size = min(batch_size, max(1, self._embedding.num_users // 8))
 
         order = self._rng.permutation(len(corpus))
@@ -791,111 +757,9 @@ class Inf2vecModel:
             )
         return total_loss / total_positives
 
-    def train_epoch_sequential(
-        self,
-        corpus: Sequence[InfluenceContext],
-        sampler: NegativeSampler | None = None,
-        learning_rate: float | None = None,
-    ) -> float:
-        """One epoch of the original one-context-at-a-time SGD loop.
-
-        This is the seed implementation the batched engine is measured
-        against (``benchmarks/bench_training_throughput.py``) and the
-        reference for the equivalence tests; semantics are identical
-        to :meth:`train_epoch` with ``engine="sequential"``.
-        """
-        if self._embedding is None:
-            raise NotFittedError(
-                "call fit()/fit_contexts() before train_epoch(); the "
-                "parameter store is not initialised"
-            )
-        if sampler is None:
-            sampler = self._build_sampler(corpus, self._embedding.num_users)
-        if not corpus:
-            return 0.0
-        if learning_rate is None:
-            learning_rate = self.config.learning_rate
-        self._metrics = self._resolve_obs().metrics
-        order = self._rng.permutation(len(corpus))
-        total_loss = 0.0
-        total_positives = 0
-        for index in order:
-            context = corpus[index]
-            positives = np.asarray(context.users, dtype=np.int64)
-            if positives.shape[0] == 0:
-                continue
-            loss = self._update_context(
-                context.user, positives, sampler, learning_rate
-            )
-            total_loss += loss
-            total_positives += positives.shape[0]
-        if total_positives == 0:
-            return 0.0
-        return total_loss / total_positives
-
     # ------------------------------------------------------------------
     # SGD update (Eq. 5 / Eq. 6)
     # ------------------------------------------------------------------
-
-    def _update_context(
-        self,
-        user: int,
-        positives: np.ndarray,
-        sampler: NegativeSampler,
-        lr: float,
-    ) -> float:
-        emb = self._embedding
-        assert emb is not None  # guarded by callers
-        num_neg = self.config.num_negatives
-        u = int(user)
-
-        # A negative drawn equal to the center user or to the row's own
-        # positive would receive a gradient contradicting the positive
-        # update; mask-and-resample such collisions.
-        exclude = np.stack(
-            [np.full_like(positives, u), positives], axis=1
-        )
-        negatives = sampler.sample_matrix(
-            positives.shape[0], num_neg, self._rng, exclude=exclude,
-            metrics=self._metrics,
-        )
-        flat_negatives = negatives.ravel()
-
-        s_u = emb.source[u]
-        t_pos = emb.target[positives]  # (p, K)
-        t_neg = emb.target[flat_negatives]  # (p * n, K)
-
-        z_pos = t_pos @ s_u + emb.source_bias[u] + emb.target_bias[positives]
-        z_neg = (
-            t_neg @ s_u + emb.source_bias[u] + emb.target_bias[flat_negatives]
-        )
-
-        g_pos = 1.0 - expit(z_pos)  # d/dz log sigma(z)
-        g_neg = -expit(z_neg)  # d/dz log sigma(-z)
-
-        # Loss before the update: -(log sigma(z_v) + sum log sigma(-z_w)).
-        loss = -(
-            log_expit(z_pos).sum() + log_expit(-z_neg).sum()
-        )
-
-        # Gradient ascent per Eq. 6.  All gradients are evaluated at the
-        # pre-update parameters: t_pos/t_neg are fancy-indexed copies,
-        # and s_u is a view into emb.source so the source row must be
-        # updated only after the target updates that consume it.
-        grad_s_u = g_pos @ t_pos + g_neg @ t_neg
-        # Positives/negatives can repeat inside one context; np.add.at
-        # accumulates duplicate rows instead of overwriting them.
-        np.add.at(emb.target, positives, lr * g_pos[:, None] * s_u[None, :])
-        np.add.at(
-            emb.target, flat_negatives, lr * g_neg[:, None] * s_u[None, :]
-        )
-        emb.source[u] += lr * grad_s_u
-        if self.config.use_biases:
-            emb.source_bias[u] += lr * (g_pos.sum() + g_neg.sum())
-            np.add.at(emb.target_bias, positives, lr * g_pos)
-            np.add.at(emb.target_bias, flat_negatives, lr * g_neg)
-        self._clip_norms(emb, u, positives, flat_negatives)
-        return float(loss)
 
     def _update_batch(
         self,
@@ -912,9 +776,9 @@ class Inf2vecModel:
         batch come from a single ``sample_matrix`` call, every z-score
         is computed with one gather + einsum per parameter family, and
         the scatter-accumulated writes (``np.add.at`` semantics,
-        implemented via :func:`_scatter_add_outer`) handle repeated rows
-        (the same user appearing in several contexts of the batch)
-        exactly like the sequential loop's duplicate handling.
+        implemented via :func:`_scatter_add_outer`) sum the updates of
+        repeated rows (the same user appearing in several contexts of
+        the batch) instead of overwriting them.
         All gradients are evaluated at the batch's entry parameters —
         micro-batched SGD, the standard word2vec-in-numpy semantics.
         """
@@ -981,34 +845,6 @@ class Inf2vecModel:
         self._clip_norm_rows(emb, users, positives, flat_negatives)
         return float(loss)
 
-    def _clip_norms(
-        self,
-        emb: InfluenceEmbedding,
-        user: int,
-        positives: np.ndarray,
-        negatives: np.ndarray,
-    ) -> None:
-        """Rescale rows touched by the last update that exceed ``max_norm``."""
-        cap = self.config.max_norm
-        if cap is None:
-            return
-        clipped = 0
-        source_norm = float(np.linalg.norm(emb.source[user]))
-        if source_norm > cap:
-            emb.source[user] *= cap / source_norm
-            clipped += 1
-        touched = np.unique(np.concatenate([positives, negatives]))
-        norms = np.linalg.norm(emb.target[touched], axis=1)
-        over = norms > cap
-        if np.any(over):
-            rows = touched[over]
-            emb.target[rows] *= (cap / norms[over])[:, None]
-            clipped += int(rows.shape[0])
-        if clipped and self._metrics.enabled:
-            self._metrics.counter(
-                "train.clip.rows", "embedding rows rescaled by max_norm"
-            ).inc(clipped)
-
     def _clip_norm_rows(
         self,
         emb: InfluenceEmbedding,
@@ -1016,7 +852,7 @@ class Inf2vecModel:
         positives: np.ndarray,
         negatives: np.ndarray,
     ) -> None:
-        """Batch variant of :meth:`_clip_norms` for many source rows."""
+        """Rescale rows touched by the last update that exceed ``max_norm``."""
         cap = self.config.max_norm
         if cap is None:
             return
@@ -1056,11 +892,12 @@ class Inf2vecModel:
     ) -> NegativeSampler:
         if self.config.negative_distribution == "uniform":
             return NegativeSampler.uniform(num_users)
-        frequencies = np.zeros(num_users, dtype=np.float64)
-        for context in corpus:
-            for v in context.users:
-                frequencies[v] += 1.0
-        return NegativeSampler.from_frequencies(frequencies)
+        members = np.fromiter(
+            itertools.chain.from_iterable(context.users for context in corpus),
+            dtype=np.int64,
+        )
+        frequencies = np.bincount(members, minlength=num_users)
+        return NegativeSampler.from_frequencies(frequencies.astype(np.float64))
 
     def _converged(self, previous_loss: float, loss: float) -> bool:
         return loss_converged(previous_loss, loss, self.config.convergence_tol)
@@ -1094,128 +931,3 @@ class Inf2vecModel:
     def __repr__(self) -> str:
         state = "fitted" if self.is_fitted else "unfitted"
         return f"Inf2vecModel(dim={self.config.dim}, {state})"
-
-
-# ----------------------------------------------------------------------
-# Hogwild worker entry point
-# ----------------------------------------------------------------------
-
-
-def hogwild_worker_main(
-    worker_id: int,
-    spec: "SharedEmbeddingSpec",
-    config: Inf2vecConfig,
-    graph: SocialGraph,
-    shard: ActionLog,
-    entry_rng_state: dict,
-    resume_rng_state: dict | None,
-    stream_chunk: int | None,
-    conn: "Connection",
-) -> None:
-    """Process entry point for one hogwild training worker.
-
-    The worker attaches the shared parameter blocks named by ``spec``
-    and trains its episode ``shard`` against them lock-free — an
-    ordinary :class:`Inf2vecModel` whose embedding arrays are zero-copy
-    shared-memory views, so the existing SGD kernels update the global
-    parameters directly.
-
-    Determinism contract: the worker's generator starts from
-    ``entry_rng_state`` (its spawn-derived birth state, replayed on
-    resume so the regenerated corpus matches the interrupted run's),
-    then jumps to ``resume_rng_state`` when resuming.  With
-    ``stream_chunk`` set, the corpus is never materialised: each epoch
-    regenerates and trains ``stream_chunk`` episodes' contexts at a
-    time, bounding memory regardless of shard size (uniform negatives
-    only — the unigram table would need the full corpus).
-
-    Protocol over ``conn``: the worker sends ``("ready", id,
-    num_contexts)`` once set up, then answers ``("epoch", index, lr)``
-    commands with ``("epoch_done", id, loss_sum, positives, seconds,
-    rng_state)`` until ``("stop",)`` arrives or the pipe closes (parent
-    death — exit quietly so orphans never linger).  Failures are
-    reported as ``("error", id, message)``.
-    """
-    from repro.parallel.shared import SharedEmbedding  # import cycle guard
-
-    shared = None
-    try:
-        shared = SharedEmbedding.attach(spec)
-        streaming = stream_chunk is not None
-        if streaming and config.negative_distribution != "uniform":
-            raise TrainingError(
-                "streaming corpus requires negative_distribution='uniform'"
-            )
-        rng = generator_from_state(copy.deepcopy(entry_rng_state))
-        # Workers never own a recorder — the parent aggregates; fall
-        # back to the zero-overhead null registry in this process.
-        model = Inf2vecModel(replace(config, telemetry=False), seed=rng)
-        model._embedding = shared.embedding
-        generator = ContextGenerator(
-            graph, config.context, rng, batched=model._batched
-        )
-        corpus: list[InfluenceContext] = []
-        if not streaming:
-            corpus = generator.generate(shard)
-        sampler = model._build_sampler(corpus, graph.num_nodes)
-        positives = sum(len(context) for context in corpus)
-        if resume_rng_state is not None:
-            rng.bit_generator.state = copy.deepcopy(resume_rng_state)
-        conn.send(("ready", worker_id, len(corpus)))
-        parent_pid = os.getppid()
-        while True:
-            # Poll instead of a blocking recv: under the fork start
-            # method every worker inherits copies of its siblings'
-            # (and its own) parent-side pipe ends, so a SIGKILL'd
-            # parent never EOFs the pipe.  A reparented worker
-            # (getppid changed) is an orphan and must exit on its own.
-            try:
-                while not conn.poll(0.2):
-                    if os.getppid() != parent_pid:
-                        return
-                message = conn.recv()
-            except (EOFError, OSError):  # parent is gone; stop training
-                return
-            if message[0] == "stop":
-                return
-            _, epoch, learning_rate = message
-            started = time.perf_counter()
-            if streaming:
-                loss_sum = 0.0
-                count = 0
-                for chunk in generator.iter_context_chunks(shard, stream_chunk):
-                    mean = model.train_epoch(
-                        chunk, sampler, learning_rate=learning_rate
-                    )
-                    chunk_positives = sum(len(context) for context in chunk)
-                    loss_sum += mean * chunk_positives
-                    count += chunk_positives
-            else:
-                if epoch > 0 and config.regenerate_contexts:
-                    corpus = generator.generate(shard)
-                    sampler = model._build_sampler(corpus, graph.num_nodes)
-                    positives = sum(len(context) for context in corpus)
-                mean = model.train_epoch(
-                    corpus, sampler, learning_rate=learning_rate
-                )
-                loss_sum = mean * positives
-                count = positives
-            conn.send(
-                (
-                    "epoch_done",
-                    worker_id,
-                    float(loss_sum),
-                    int(count),
-                    time.perf_counter() - started,
-                    copy.deepcopy(rng.bit_generator.state),
-                )
-            )
-    except Exception as exc:  # surfaced to the parent, which raises
-        try:
-            conn.send(("error", worker_id, f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
-    finally:
-        if shared is not None:
-            shared.close()
-        conn.close()

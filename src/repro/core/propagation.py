@@ -83,9 +83,8 @@ class PropagationNetwork:
             compact = edges
 
         # CSR in both directions.  Neighbour lists are sorted by
-        # original ID inside each slice, preserving the ordering the
-        # sequential walk has always seen (and hence its seeded
-        # determinism).
+        # original ID inside each slice, so a seeded walk picks the same
+        # successor for the same draw.
         self._out_indptr, self._out_compact, self._out_original = self._build_csr(
             compact[:, 0], compact[:, 1], edges[:, 1], num_nodes
         )

@@ -31,26 +31,28 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
+import os
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.context import ContextGenerator, InfluenceContext
 from repro.core.embeddings import InfluenceEmbedding
 from repro.core.inf2vec import (
     Inf2vecConfig,
     Inf2vecModel,
     annealed_learning_rate,
-    hogwild_worker_main,
     loss_converged,
 )
 from repro.data.actionlog import ActionLog
 from repro.data.graph import SocialGraph
 from repro.errors import CheckpointError, TrainingError
 from repro.obs.run import RunRecorder, config_fingerprint, resolve_run
-from repro.parallel.shared import SharedEmbedding
+from repro.parallel.shared import SharedEmbedding, SharedEmbeddingSpec
 from repro.utils.logging import get_logger, log_epoch_progress
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike, ensure_rng, generator_from_state
 from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
@@ -97,6 +99,122 @@ def shard_episodes(log: ActionLog, workers: int) -> list[ActionLog]:
     ]
 
 
+def hogwild_worker_main(
+    worker_id: int,
+    spec: SharedEmbeddingSpec,
+    config: Inf2vecConfig,
+    graph: SocialGraph,
+    shard: ActionLog,
+    entry_rng_state: dict,
+    resume_rng_state: dict | None,
+    stream_chunk: int | None,
+    conn: "Connection",
+) -> None:
+    """Process entry point for one hogwild training worker.
+
+    The worker attaches the shared parameter blocks named by ``spec``
+    and trains its episode ``shard`` against them lock-free — an
+    ordinary :class:`Inf2vecModel` whose embedding arrays are zero-copy
+    shared-memory views, so the existing SGD kernels update the global
+    parameters directly.
+
+    Determinism contract: the worker's generator starts from
+    ``entry_rng_state`` (its spawn-derived birth state, replayed on
+    resume so the regenerated corpus matches the interrupted run's),
+    then jumps to ``resume_rng_state`` when resuming.  With
+    ``stream_chunk`` set, the corpus is never materialised: each epoch
+    regenerates and trains ``stream_chunk`` episodes' contexts at a
+    time, bounding memory regardless of shard size (uniform negatives
+    only — the unigram table would need the full corpus).
+
+    Protocol over ``conn``: the worker sends ``("ready", id,
+    num_contexts)`` once set up, then answers ``("epoch", index, lr)``
+    commands with ``("epoch_done", id, loss_sum, positives, seconds,
+    rng_state)`` until ``("stop",)`` arrives or the pipe closes (parent
+    death — exit quietly so orphans never linger).  Failures are
+    reported as ``("error", id, message)``.
+    """
+    shared = None
+    try:
+        shared = SharedEmbedding.attach(spec)
+        streaming = stream_chunk is not None
+        if streaming and config.negative_distribution != "uniform":
+            raise TrainingError(
+                "streaming corpus requires negative_distribution='uniform'"
+            )
+        rng = generator_from_state(copy.deepcopy(entry_rng_state))
+        # Workers never own a recorder — the parent aggregates; fall
+        # back to the zero-overhead null registry in this process.
+        model = Inf2vecModel(replace(config, telemetry=False), seed=rng)
+        model._embedding = shared.embedding
+        generator = ContextGenerator(graph, config.context, rng)
+        corpus: list[InfluenceContext] = []
+        if not streaming:
+            corpus = generator.generate(shard)
+        sampler = model._build_sampler(corpus, graph.num_nodes)
+        positives = sum(len(context) for context in corpus)
+        if resume_rng_state is not None:
+            rng.bit_generator.state = copy.deepcopy(resume_rng_state)
+        conn.send(("ready", worker_id, len(corpus)))
+        parent_pid = os.getppid()
+        while True:
+            # Poll instead of a blocking recv: under the fork start
+            # method every worker inherits copies of its siblings'
+            # (and its own) parent-side pipe ends, so a SIGKILL'd
+            # parent never EOFs the pipe.  A reparented worker
+            # (getppid changed) is an orphan and must exit on its own.
+            try:
+                while not conn.poll(0.2):
+                    if os.getppid() != parent_pid:
+                        return
+                message = conn.recv()
+            except (EOFError, OSError):  # parent is gone; stop training
+                return
+            if message[0] == "stop":
+                return
+            _, epoch, learning_rate = message
+            started = time.perf_counter()
+            if streaming:
+                loss_sum = 0.0
+                count = 0
+                for chunk in generator.iter_context_chunks(shard, stream_chunk):
+                    mean = model.train_epoch(
+                        chunk, sampler, learning_rate=learning_rate
+                    )
+                    chunk_positives = sum(len(context) for context in chunk)
+                    loss_sum += mean * chunk_positives
+                    count += chunk_positives
+            else:
+                if epoch > 0 and config.regenerate_contexts:
+                    corpus = generator.generate(shard)
+                    sampler = model._build_sampler(corpus, graph.num_nodes)
+                    positives = sum(len(context) for context in corpus)
+                mean = model.train_epoch(
+                    corpus, sampler, learning_rate=learning_rate
+                )
+                loss_sum = mean * positives
+                count = positives
+            conn.send(
+                (
+                    "epoch_done",
+                    worker_id,
+                    float(loss_sum),
+                    int(count),
+                    time.perf_counter() - started,
+                    copy.deepcopy(rng.bit_generator.state),
+                )
+            )
+    except Exception as exc:  # surfaced to the parent, which raises
+        try:
+            conn.send(("error", worker_id, f"{type(exc).__name__}: {exc}"))
+        except OSError:
+            pass
+    finally:
+        if shared is not None:
+            shared.close()
+        conn.close()
+
+
 class HogwildTrainer:
     """Shared-memory parallel Inf2vec training (see module docstring).
 
@@ -104,7 +222,7 @@ class HogwildTrainer:
     ----------
     config:
         Training hyper-parameters; the same schedule, convergence test,
-        and engine settings as the single-process model.
+        and SGD settings as the single-process model.
     workers:
         Worker process count.  ``1`` runs the full machinery with a
         single worker — bitwise-deterministic, the resume-equivalence
@@ -237,9 +355,7 @@ class HogwildTrainer:
         processes: list[multiprocessing.Process] = []
         conns: list["Connection"] = []
         try:
-            with run.span(
-                "hogwild.fit", engine=config.engine, workers=self.workers
-            ):
+            with run.span("hogwild.fit", workers=self.workers):
                 self._record_run_header(run, graph, log)
                 shards = shard_episodes(log, self.workers)
                 context = multiprocessing.get_context(self._start_method)

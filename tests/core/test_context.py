@@ -9,17 +9,15 @@ from repro.core.context import (
     InfluenceContext,
     batched_random_walk_with_restart,
     corpus_statistics,
-    generate_context,
-    generate_episode_contexts,
     generate_episode_contexts_batched,
-    random_walk_with_restart,
-    sample_global_context,
 )
 from repro.core.propagation import PropagationNetwork
 from repro.data.actionlog import ActionLog, DiffusionEpisode
 from repro.data.graph import SocialGraph
 from repro.errors import TrainingError
+from repro.obs.metrics import MetricsRegistry
 from repro.utils.rng import ensure_rng
+from tests.core.sequential_oracle import sequential_corpus
 
 
 @pytest.fixture
@@ -51,39 +49,43 @@ class TestContextConfig:
             ContextConfig(restart_prob=-0.1)
 
 
+def _walk(network, start, budget, restart_prob, seed):
+    """One walker's visits from the lockstep walk, as a list."""
+    (walk,) = batched_random_walk_with_restart(
+        network, np.array([start]), budget, restart_prob, ensure_rng(seed)
+    )
+    return walk.tolist()
+
+
+def _context(network, user, config, seed):
+    """``user``'s context from the episode generator (``None`` if dropped)."""
+    contexts = generate_episode_contexts_batched(network, config, ensure_rng(seed))
+    return next((c for c in contexts if c.user == user), None)
+
+
 class TestRandomWalk:
     def test_budget_respected(self, chain_network):
-        rng = ensure_rng(0)
-        visited = random_walk_with_restart(chain_network, 0, 7, 0.5, rng)
-        assert len(visited) == 7
+        assert len(_walk(chain_network, 0, 7, 0.5, seed=0)) == 7
 
     def test_only_reachable_nodes_visited(self, chain_network):
-        rng = ensure_rng(0)
-        visited = random_walk_with_restart(chain_network, 1, 20, 0.5, rng)
-        assert set(visited) <= {2, 3}
+        assert set(_walk(chain_network, 1, 20, 0.5, seed=0)) <= {2, 3}
 
     def test_start_never_recorded(self, chain_network):
-        rng = ensure_rng(0)
-        visited = random_walk_with_restart(chain_network, 0, 30, 0.5, rng)
-        assert 0 not in visited
+        assert 0 not in _walk(chain_network, 0, 30, 0.5, seed=0)
 
     def test_sink_returns_empty(self, chain_network):
-        rng = ensure_rng(0)
-        assert random_walk_with_restart(chain_network, 3, 10, 0.5, rng) == []
+        assert _walk(chain_network, 3, 10, 0.5, seed=0) == []
 
     def test_zero_budget(self, chain_network):
-        rng = ensure_rng(0)
-        assert random_walk_with_restart(chain_network, 0, 0, 0.5, rng) == []
+        assert _walk(chain_network, 0, 0, 0.5, seed=0) == []
 
     def test_high_restart_stays_near_start(self, chain_network):
-        rng = ensure_rng(7)
-        visited = random_walk_with_restart(chain_network, 0, 200, 0.95, rng)
+        visited = _walk(chain_network, 0, 200, 0.95, seed=7)
         # With near-certain restart, node 1 (first hop) dominates.
         assert visited.count(1) > visited.count(3)
 
     def test_no_restart_reaches_deep(self, chain_network):
-        rng = ensure_rng(7)
-        visited = random_walk_with_restart(chain_network, 0, 50, 0.0, rng)
+        visited = _walk(chain_network, 0, 50, 0.0, seed=7)
         assert 3 in visited
 
 
@@ -136,49 +138,50 @@ class TestBatchedRandomWalk:
 
 class TestGlobalContext:
     def test_samples_exclude_self(self, chain_network):
-        rng = ensure_rng(0)
-        samples = sample_global_context(chain_network, 1, 50, rng)
+        config = ContextConfig(length=50, alpha=0.0)
+        samples = _context(chain_network, 1, config, seed=0).global_
         assert len(samples) == 50
         assert 1 not in samples
         assert set(samples) <= {0, 2, 3}
 
     def test_single_adopter_empty(self):
         net = PropagationNetwork(0, np.array([4]), np.empty((0, 2), dtype=np.int64))
-        rng = ensure_rng(0)
-        assert sample_global_context(net, 4, 10, rng) == []
+        # Nobody else adopted and nobody was reached: the context is
+        # empty, so the tuple is dropped.
+        assert _context(net, 4, ContextConfig(length=10, alpha=0.0), seed=0) is None
 
     def test_zero_budget(self, chain_network):
-        rng = ensure_rng(0)
-        assert sample_global_context(chain_network, 0, 0, rng) == []
+        context = _context(chain_network, 0, ContextConfig(length=4, alpha=1.0), seed=0)
+        assert context.global_ == ()
 
 
 class TestGenerateContext:
     def test_components_sized_by_alpha(self, chain_network):
-        rng = ensure_rng(0)
         config = ContextConfig(length=20, alpha=0.5)
-        context = generate_context(chain_network, 0, config, rng)
+        context = _context(chain_network, 0, config, seed=0)
         assert len(context.local) == 10
         assert len(context.global_) == 10
         assert context.users == context.local + context.global_
 
     def test_sink_user_still_gets_global(self, chain_network):
-        rng = ensure_rng(0)
         config = ContextConfig(length=10, alpha=0.5)
-        context = generate_context(chain_network, 3, config, rng)
+        context = _context(chain_network, 3, config, seed=0)
         assert context.local == ()
         assert len(context.global_) == 5
 
     def test_episode_contexts_cover_adopters(self, chain_network):
-        rng = ensure_rng(0)
         config = ContextConfig(length=10, alpha=0.5)
-        contexts = generate_episode_contexts(chain_network, config, rng)
+        contexts = generate_episode_contexts_batched(
+            chain_network, config, ensure_rng(0)
+        )
         assert {c.user for c in contexts} == {0, 1, 2, 3}
         assert all(c.item == 0 for c in contexts)
 
     def test_singleton_episode_produces_nothing(self):
         net = PropagationNetwork(0, np.array([4]), np.empty((0, 2), dtype=np.int64))
-        rng = ensure_rng(0)
-        contexts = generate_episode_contexts(net, ContextConfig(length=10), rng)
+        contexts = generate_episode_contexts_batched(
+            net, ContextConfig(length=10), ensure_rng(0)
+        )
         assert contexts == []
 
 
@@ -220,26 +223,22 @@ class TestContextGenerator:
     def test_batched_matches_sequential_structure(self, tiny_graph, tiny_log):
         # Context sizes are structural (a walk is empty iff the start
         # has no successors; the global slice is empty iff the user is
-        # the only adopter), so both engines must agree on them even
-        # though the sampled members differ draw by draw.
+        # the only adopter), so the generator must agree on them with
+        # the per-node oracle even though the sampled members differ
+        # draw by draw.
         config = ContextConfig(length=6, alpha=0.5)
-        seq = ContextGenerator(
-            tiny_graph, config, seed=3, batched=False
-        ).generate(tiny_log)
-        bat = ContextGenerator(
-            tiny_graph, config, seed=3, batched=True
-        ).generate(tiny_log)
+        seq = sequential_corpus(tiny_graph, tiny_log, config, ensure_rng(3))
+        bat = ContextGenerator(tiny_graph, config, seed=3).generate(tiny_log)
         key = lambda c: (c.item, c.user, len(c.local), len(c.global_))  # noqa: E731
         assert sorted(map(key, seq)) == sorted(map(key, bat))
 
     def test_batched_deterministic_under_seed(self, tiny_graph, tiny_log):
+        # Recording walk telemetry must not move the RNG stream.
         config = ContextConfig(length=6, alpha=0.5)
-        a = ContextGenerator(tiny_graph, config, seed=9, batched=True).generate(
-            tiny_log
-        )
-        b = ContextGenerator(tiny_graph, config, seed=9, batched=True).generate(
-            tiny_log
-        )
+        a = ContextGenerator(tiny_graph, config, seed=9).generate(tiny_log)
+        b = ContextGenerator(
+            tiny_graph, config, seed=9, metrics=MetricsRegistry()
+        ).generate(tiny_log)
         assert a == b
 
 

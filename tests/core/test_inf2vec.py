@@ -8,6 +8,7 @@ from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
 from repro.core.negative import NegativeSampler
 from repro.errors import NotFittedError, TrainingError
 from repro.utils.rng import ensure_rng
+from tests.core.sequential_oracle import sequential_corpus, sequential_fit
 
 
 class _FixedSampler(NegativeSampler):
@@ -88,7 +89,11 @@ class TestGradients:
             emb.source_bias.copy(),
             emb.target_bias.copy(),
         )
-        model._update_context(u, positives, sampler, lr=config.learning_rate)
+        # Both observations share centre user u, so the duplicate-row
+        # scatter of the source update is checked too.
+        model._update_batch(
+            np.full(len(positives), u), positives, sampler, config.learning_rate
+        )
         applied = {
             "source": (emb.source - before[0]) / config.learning_rate,
             "target": (emb.target - before[1]) / config.learning_rate,
@@ -218,26 +223,17 @@ class TestEngines:
             )
         return contexts
 
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(TrainingError, match="engine"):
-            Inf2vecConfig(engine="turbo")  # type: ignore[arg-type]
-
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError):
             Inf2vecConfig(batch_size=0)
 
     def test_batch_size_one_matches_sequential(self, corpus):
-        """The fused loop at batch_size=1 follows the sequential
+        """The fused loop at batch_size=1 follows the sequential oracle's
         trajectory: same permutations, same negative draws, same
         per-context updates (up to float summation order)."""
-        seq_config = Inf2vecConfig(
-            dim=6, epochs=3, engine="sequential", max_norm=None
-        )
-        bat_config = Inf2vecConfig(
-            dim=6, epochs=3, engine="batched", batch_size=1, max_norm=None
-        )
-        a = Inf2vecModel(seq_config, seed=21).fit_contexts(corpus, num_users=12)
-        b = Inf2vecModel(bat_config, seed=21).fit_contexts(corpus, num_users=12)
+        config = Inf2vecConfig(dim=6, epochs=3, batch_size=1, max_norm=None)
+        a = sequential_fit(Inf2vecModel(config, seed=21), corpus, num_users=12)
+        b = Inf2vecModel(config, seed=21).fit_contexts(corpus, num_users=12)
         np.testing.assert_allclose(
             a.embedding.source, b.embedding.source, rtol=1e-7, atol=1e-9
         )
@@ -256,11 +252,9 @@ class TestEngines:
 
 class TestEngineEquivalence:
     def test_activation_metrics_match_sequential(self):
-        """Table-2 check: under a fixed seed the batched engine must
-        reproduce the seed trainer's activation-prediction metrics
-        within ±0.01 absolute."""
-        from dataclasses import replace
-
+        """Table-2 check: under a fixed seed the library must reproduce
+        the sequential oracle's activation-prediction metrics within
+        ±0.01 absolute."""
         from repro.core.prediction import EmbeddingPredictor
         from repro.data.synthetic import SyntheticSocialDataset
         from repro.eval.activation import evaluate_activation
@@ -275,15 +269,16 @@ class TestEngineEquivalence:
             learning_rate=0.01,
             context=ContextConfig(length=15, alpha=0.2),
         )
-        results = {}
-        for engine in ("sequential", "batched"):
-            model = Inf2vecModel(replace(base, engine=engine), seed=3).fit(
-                data.graph, train
+        oracle = Inf2vecModel(base, seed=3)
+        corpus = sequential_corpus(data.graph, train, base.context, oracle.rng)
+        sequential_fit(oracle, corpus, data.graph.num_nodes)
+        model = Inf2vecModel(base, seed=3).fit(data.graph, train)
+        sequential, batched = (
+            evaluate_activation(
+                EmbeddingPredictor(m.embedding), data.graph, test
             )
-            results[engine] = evaluate_activation(
-                EmbeddingPredictor(model.embedding), data.graph, test
-            )
-        sequential, batched = results["sequential"], results["batched"]
+            for m in (oracle, model)
+        )
         assert abs(sequential.auc - batched.auc) <= 0.01, (
             sequential.auc,
             batched.auc,

@@ -1,4 +1,4 @@
-"""Throughput smoke test for the batched training engine.
+"""Throughput smoke test: the library against the sequential oracle.
 
 Marked ``slow`` and deselected by default (see ``pyproject.toml``);
 run with ``pytest -m slow``.  The full-scale measurement lives in
@@ -11,7 +11,9 @@ import pytest
 from repro.core.context import ContextConfig, ContextGenerator
 from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
 from repro.data.synthetic import SyntheticSocialDataset
+from repro.utils.rng import ensure_rng
 from repro.utils.timer import timed
+from tests.core.sequential_oracle import sequential_corpus, sequential_train_epoch
 
 pytestmark = pytest.mark.slow
 
@@ -25,20 +27,20 @@ def test_batched_engine_outperforms_sequential_smoke():
     )
 
     seq_corpus, seq_context = timed(
-        lambda: ContextGenerator(
-            data.graph, config.context, seed=0, batched=False
-        ).generate(data.log)
+        lambda: sequential_corpus(
+            data.graph, data.log, config.context, ensure_rng(0)
+        )
     )
     corpus, bat_context = timed(
-        lambda: ContextGenerator(
-            data.graph, config.context, seed=0, batched=True
-        ).generate(data.log)
+        lambda: ContextGenerator(data.graph, config.context, seed=0).generate(
+            data.log
+        )
     )
     assert len(corpus) == len(seq_corpus)
 
     seq_model = Inf2vecModel(config, seed=0)
     seq_model.fit_contexts(corpus[:1], num_users=data.graph.num_nodes)
-    _, seq_train = timed(lambda: seq_model.train_epoch_sequential(corpus))
+    _, seq_train = timed(lambda: sequential_train_epoch(seq_model, corpus))
 
     bat_model = Inf2vecModel(config, seed=0)
     bat_model.fit_contexts(corpus[:1], num_users=data.graph.num_nodes)
